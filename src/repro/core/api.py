@@ -310,7 +310,12 @@ class ScapSocket:
         """
         self._require_not_started()
         self._runtime = self._build_runtime()
-        self.last_result = self._runtime.run(self._workload, self._rate, name=name)
+        # A socket captures once, so the device is not needed after the
+        # run.  Drop it here: callbacks that close over the socket make
+        # it cyclic garbage, which would otherwise pin a whole trace
+        # until the next full garbage collection.
+        workload, self._workload = self._workload, None
+        self.last_result = self._runtime.run(workload, self._rate, name=name)
         if self._recorder is not None:
             self._recorder.finish()
         return self.last_result

@@ -14,6 +14,7 @@ from .segment import (
     SegmentInfo,
     SegmentWriter,
     StreamRecord,
+    read_frames,
     read_segment,
     scan_records,
 )
@@ -25,6 +26,7 @@ __all__ = [
     "SegmentInfo",
     "SegmentWriter",
     "read_segment",
+    "read_frames",
     "scan_records",
     "SpillQueue",
     "StoreWriter",

@@ -4,9 +4,10 @@ The index is *derived* state: opening a store directory scans every
 ``seg-*.scap`` file with the truncation-tolerant reader, so recovery
 after a crash and a normal open are the same code path.  Per record we
 keep a small :class:`RecordMeta` (identity, time, offset into both the
-stream and the file) grouped per segment, plus two lookup maps — by
-canonical five-tuple and a time-sorted list — so queries never touch
-disk until they need payload bytes.
+stream and the file) grouped per segment, plus a map from canonical
+five-tuple to that connection's records, so a point query touches only
+its own entries and queries never touch disk until they need payload
+bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..netstack.flows import FiveTuple
-from .segment import SegmentInfo, StreamRecord, read_segment
+from .segment import SegmentInfo, read_segment
 
 __all__ = ["RecordMeta", "SegmentMeta", "StoreIndex"]
 
@@ -62,12 +63,16 @@ class StoreIndex:
 
     Mutated only by the store under its lock (`` # scapcheck: single-owner ``
     applies to callers); supports add/remove of whole segments (sealing,
-    retention) and in-place replacement after compaction rewrites.
+    retention, and remove-then-re-add after a compaction rewrite).
     """
 
     def __init__(self):
         self.segments: Dict[str, SegmentMeta] = {}
-        self._by_tuple: Dict[Tuple[int, int, int, int, int], List[RecordMeta]] = {}
+        #: Canonical five-tuple -> ``(segment, record)`` of every record of
+        #: that connection, so a point query never walks other records.
+        self._by_tuple: Dict[
+            Tuple[int, int, int, int, int], List[Tuple[SegmentMeta, RecordMeta]]
+        ] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -98,10 +103,15 @@ class StoreIndex:
         return added
 
     def add_segment_file(self, path: str) -> SegmentMeta:
-        """Scan one segment file and index everything recoverable."""
+        """Scan one segment file and index everything recoverable.
+
+        The one indexing path: sealing, compaction and recovery all
+        re-read the file, so the index only ever holds what is on disk.
+        """
         records, info = read_segment(path)
-        metas = [
-            RecordMeta(
+        segment = SegmentMeta(info=info)
+        for (offset, _length), record in zip(info.frames, records):
+            meta = RecordMeta(
                 five_tuple=record.five_tuple,
                 direction=record.direction,
                 stream_offset=record.stream_offset,
@@ -110,31 +120,11 @@ class StoreIndex:
                 priority=record.priority,
                 file_offset=offset,
             )
-            for (offset, _length), record in zip(info.frames, records)
-        ]
-        return self._install(SegmentMeta(info=info, records=metas))
-
-    def add_sealed(self, info: SegmentInfo, records: List[Tuple[int, StreamRecord]]) -> SegmentMeta:
-        """Index a segment the writer just sealed, without rescanning."""
-        metas = [
-            RecordMeta(
-                five_tuple=record.five_tuple,
-                direction=record.direction,
-                stream_offset=record.stream_offset,
-                timestamp=record.timestamp,
-                length=len(record.data),
-                priority=record.priority,
-                file_offset=offset,
+            segment.records.append(meta)
+            self._by_tuple.setdefault(self._key(meta.client_tuple), []).append(
+                (segment, meta)
             )
-            for offset, record in records
-        ]
-        return self._install(SegmentMeta(info=info, records=metas))
-
-    def _install(self, segment: SegmentMeta) -> SegmentMeta:
-        self.segments[segment.path] = segment
-        for meta in segment.records:
-            key = self._key(meta.client_tuple)
-            self._by_tuple.setdefault(key, []).append(meta)
+        self.segments[path] = segment
         return segment
 
     def remove_segment(self, path: str) -> Optional[SegmentMeta]:
@@ -142,19 +132,13 @@ class StoreIndex:
         segment = self.segments.pop(path, None)
         if segment is None:
             return None
-        doomed = {id(meta) for meta in segment.records}
         for key in {self._key(meta.client_tuple) for meta in segment.records}:
-            bucket = [meta for meta in self._by_tuple.get(key, []) if id(meta) not in doomed]
+            bucket = [entry for entry in self._by_tuple.get(key, []) if entry[0] is not segment]
             if bucket:
                 self._by_tuple[key] = bucket
             else:
                 self._by_tuple.pop(key, None)
         return segment
-
-    def replace_segment(self, path: str, replacement: SegmentMeta) -> None:
-        """Swap a segment's index entry after a compaction rewrite."""
-        self.remove_segment(path)
-        self._install(replacement)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -176,24 +160,27 @@ class StoreIndex:
     ) -> Iterator[Tuple[SegmentMeta, RecordMeta]]:
         """Yield ``(segment, record)`` matches for a tuple/time query.
 
-        ``five_tuple`` matches either direction of the connection;
-        ``start_ts``/``end_ts`` bound the record timestamp inclusively.
-        With no arguments, everything is yielded.
+        ``five_tuple`` matches either direction of the connection and is
+        answered from the tuple map alone; ``start_ts``/``end_ts`` bound
+        the record timestamp inclusively.  With no arguments, everything
+        is yielded.  Either way matches come segment by segment in
+        ``(first_ts, path)`` order, in file order within a segment.
         """
-        wanted = self._key(five_tuple) if five_tuple is not None else None
-        for segment in self._segments_in_time_order():
-            info = segment.info
-            if start_ts is not None and info.record_count and info.last_ts < start_ts:
-                continue
-            if end_ts is not None and info.record_count and info.first_ts > end_ts:
-                continue
-            for meta in segment.records:
-                if wanted is not None and self._key(meta.client_tuple) != wanted:
-                    continue
-                if start_ts is not None and meta.timestamp < start_ts:
-                    continue
-                if end_ts is not None and meta.timestamp > end_ts:
-                    continue
+        if five_tuple is None:
+            for segment in self._segments_in_time_order():
+                if _segment_in_range(segment.info, start_ts, end_ts):
+                    for meta in segment.records:
+                        if _in_range(meta.timestamp, start_ts, end_ts):
+                            yield segment, meta
+            return
+        entries = sorted(
+            self._by_tuple.get(self._key(five_tuple), ()),
+            key=lambda entry: (entry[0].info.first_ts, entry[0].path, entry[1].file_offset),
+        )
+        for segment, meta in entries:
+            if _segment_in_range(segment.info, start_ts, end_ts) and _in_range(
+                meta.timestamp, start_ts, end_ts
+            ):
                 yield segment, meta
 
     def _segments_in_time_order(self) -> List[SegmentMeta]:
@@ -211,3 +198,21 @@ class StoreIndex:
                 if key not in seen:
                     seen[key] = meta.client_tuple
         return list(seen.values())
+
+
+def _segment_in_range(
+    info: SegmentInfo, start_ts: Optional[float], end_ts: Optional[float]
+) -> bool:
+    """False if a non-empty segment's time span misses the bounds."""
+    if not info.record_count:
+        return True
+    if start_ts is not None and info.last_ts < start_ts:
+        return False
+    return end_ts is None or info.first_ts <= end_ts
+
+
+def _in_range(timestamp: float, start_ts: Optional[float], end_ts: Optional[float]) -> bool:
+    """True if ``timestamp`` lies inside the inclusive bounds."""
+    return (start_ts is None or timestamp >= start_ts) and (
+        end_ts is None or timestamp <= end_ts
+    )

@@ -2,10 +2,12 @@
 
 A query selects records by five-tuple and/or time range through the
 :class:`~repro.store.index.StoreIndex`, reads the matching payloads
-from their segments, and assembles them per stream direction.  Records
-carry their ``stream_offset``, so assembly sorts by offset and trims
-any overlap between adjacent records — re-recorded bytes (chunk
-overlap, retransmission re-delivery) never appear twice in the output.
+from their segments (a point query reads just its own frames, a wider
+query scans each contributing segment), and assembles them per stream
+direction.  Records carry their ``stream_offset``, so assembly sorts
+by offset and trims any overlap between adjacent records — re-recorded
+bytes (chunk overlap, retransmission re-delivery) never appear twice
+in the output.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..netstack.flows import FiveTuple
-from .index import RecordMeta, SegmentMeta, StoreIndex
-from .segment import StreamRecord, scan_records
+from .index import RecordMeta, StoreIndex
+from .segment import StreamRecord, read_frames, scan_records
 
 __all__ = ["StreamPayload", "QueryResult", "run_query"]
 
@@ -79,23 +81,31 @@ def run_query(
 ) -> QueryResult:
     """Select, load, and reassemble matching streams from the store.
 
-    Payloads are read segment-by-segment (one sequential scan per
-    segment that contributed a match), then grouped by connection and
-    direction, offset-sorted, and overlap-trimmed.
+    A five-tuple query reads only its matched frames, one seek each
+    (:func:`read_frames`); any other query reads each segment that
+    contributed a match in one sequential scan.  Either way every
+    frame's CRC is checked.  The records are then grouped by
+    connection and direction, offset-sorted, and overlap-trimmed.
     """
     matches: Dict[str, List[RecordMeta]] = {}
-    segments: Dict[str, SegmentMeta] = {}
     for segment, meta in index.lookup(five_tuple, start_ts, end_ts):
         matches.setdefault(segment.path, []).append(meta)
-        segments[segment.path] = segment
+    wanted_tuple = StoreIndex._key(five_tuple) if five_tuple is not None else None
     groups: Dict[Tuple[Tuple[int, int, int, int, int], int], List[StreamRecord]] = {}
     group_tuple: Dict[Tuple[Tuple[int, int, int, int, int], int], FiveTuple] = {}
     for path, metas in matches.items():
-        wanted = {meta.file_offset for meta in metas}
-        for offset, record in scan_records(path):
-            if offset not in wanted:
+        if five_tuple is not None:
+            records = read_frames(path, [meta.file_offset for meta in metas])
+        else:
+            wanted = {meta.file_offset for meta in metas}
+            records = (pair for pair in scan_records(path) if pair[0] in wanted)
+        for _offset, record in records:
+            connection = StoreIndex._key(record.client_tuple)
+            if wanted_tuple is not None and connection != wanted_tuple:
+                # The flags byte is outside the frame CRC: a flipped zlib
+                # bit can decode a frame as another connection's record.
                 continue
-            key = (StoreIndex._key(record.client_tuple), record.direction)
+            key = (connection, record.direction)
             groups.setdefault(key, []).append(record)
             group_tuple.setdefault(key, record.client_tuple)
     streams = [

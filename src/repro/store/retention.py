@@ -16,7 +16,8 @@ is always dropped before its head — the same asymmetry that makes the
 paper's per-stream cutoff effective on heavy-tailed traffic, applied
 after the fact.  Record eviction from sealed (immutable) segments is
 implemented by compaction: the segment is rewritten without the
-victims and atomically swapped in with ``os.replace``.
+victims (with the store's compression setting) and atomically swapped
+in with ``os.replace``.
 """
 
 from __future__ import annotations
@@ -94,9 +95,12 @@ class RetentionEngine:
     store serializes calls.  # scapcheck: single-owner
     """
 
-    def __init__(self, index: StoreIndex, policy: RetentionPolicy):
+    def __init__(self, index: StoreIndex, policy: RetentionPolicy, compress: bool = False):
         self.index = index
         self.policy = policy
+        #: Compress rewritten frames like the store's writer does, so a
+        #: compaction never inflates a compressed segment.
+        self.compress = compress
 
     # ------------------------------------------------------------------
     def enforce(self, now_ts: float) -> RetentionReport:
@@ -194,7 +198,7 @@ class RetentionEngine:
             return self._delete_segment(segment)
         path = segment.path
         tmp_path = path + ".tmp"
-        writer = SegmentWriter(tmp_path, core=segment.info.core, compress=False)
+        writer = SegmentWriter(tmp_path, core=segment.info.core, compress=self.compress)
         for offset, record in scan_records(path):
             if offset in doomed_offsets:
                 continue

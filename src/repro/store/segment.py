@@ -9,7 +9,9 @@ without rescanning.  A segment whose writer died mid-append has a
 *torn tail*: recovery replays frames from the front and stops at the
 first frame whose length or CRC does not check out, so every record
 written before the tear survives and only the torn frame is lost —
-the same contract as a write-ahead log.
+the same contract as a write-ahead log.  A point query skips the scan
+and reads single frames at offsets the index recorded
+(:func:`read_frames`), with the same checks on each frame.
 
 Layout::
 
@@ -29,7 +31,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterator, List, Optional, Tuple
+from typing import BinaryIO, Iterable, Iterator, List, Optional, Tuple
 
 from ..netstack.flows import FiveTuple
 
@@ -40,6 +42,7 @@ __all__ = [
     "SegmentInfo",
     "SegmentWriter",
     "read_segment",
+    "read_frames",
     "scan_records",
 ]
 
@@ -311,6 +314,37 @@ def _scan(path: str) -> Tuple[List[Tuple[int, StreamRecord]], SegmentInfo]:
             position += _FRAME.size + body_len
     info.disk_bytes = size
     return records, info
+
+
+def read_frames(path: str, offsets: Iterable[int]) -> List[Tuple[int, StreamRecord]]:
+    """Read only the frames at ``offsets``; return ``(offset, record)`` pairs.
+
+    Each frame is reached by a seek, and its body must pass the same
+    checks as in a scan (complete, CRC-matching, decompressed when
+    flagged) before it is decoded.  A frame that fails them is left
+    out; the other requested frames are still returned, in the order
+    of ``offsets``.
+    """
+    out: List[Tuple[int, StreamRecord]] = []
+    with open(path, "rb") as handle:
+        for offset in offsets:
+            handle.seek(offset)
+            frame_header = handle.read(_FRAME.size)
+            if len(frame_header) < _FRAME.size:
+                continue
+            body_len, crc, flags = _FRAME.unpack(frame_header)
+            if body_len > _MAX_BODY:
+                continue
+            body = handle.read(body_len)
+            if len(body) < body_len or zlib.crc32(body) != crc:
+                continue
+            if flags & _FLAG_ZLIB:
+                try:
+                    body = zlib.decompress(body)
+                except zlib.error:
+                    continue
+            out.append((offset, StreamRecord.decode(body)))
+    return out
 
 
 def read_segment(path: str) -> Tuple[List[StreamRecord], SegmentInfo]:

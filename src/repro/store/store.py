@@ -87,7 +87,7 @@ class StreamStore:
         recovered = self.index.scan_directory(directory)
         start_sequence = _next_sequence(directory)
         self.retention_policy = retention or RetentionPolicy()
-        self._retention = RetentionEngine(self.index, self.retention_policy)
+        self._retention = RetentionEngine(self.index, self.retention_policy, compress=compress)
         self.evicted_bytes = 0
         self.evicted_records = 0
         self.last_ts = max(

@@ -1,5 +1,8 @@
 """Tests for the public Scap API (Table 1 semantics)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import (
@@ -275,3 +278,27 @@ class TestPacketDelivery:
             f.total_bytes for f in trace.flows if f.protocol == 6
         )
         assert total >= 0.97 * ground_truth
+
+
+def _prioritizing_socket(source):
+    # As in the daemon: the creation callback closes over the socket.
+    sc = _socket(source)
+    sc.dispatch_creation(lambda sd: sc.set_stream_priority(sd, 1))
+    return sc
+
+
+class TestLifecycle:
+    def test_trace_freed_after_capture_without_cycle_collection(self):
+        """A callback closing over the socket makes the socket cyclic
+        garbage; the trace it replayed must still be freed as soon as
+        the caller drops it, not at the next full collection."""
+        source = campus_mix(flow_count=5, seed=3)
+        alive = weakref.ref(source)
+        sc = _prioritizing_socket(source)
+        gc.disable()
+        try:
+            sc.start_capture()
+            del source, sc
+            assert alive() is None
+        finally:
+            gc.enable()

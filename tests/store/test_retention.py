@@ -1,5 +1,7 @@
 """Retention: age, per-class quotas, global bytes, tail-first eviction."""
 
+import os
+
 from repro.netstack import FiveTuple, IPProtocol
 from repro.store import ClassQuota, RetentionPolicy, StreamRecord, StreamStore
 
@@ -131,3 +133,23 @@ class TestCompaction:
         after = reopened.query()
         assert [s.data for s in after.streams] == [s.data for s in before.streams]
         reopened.close()
+
+    def test_compaction_never_grows_a_compressed_segment(self, tmp_path):
+        # 50 compressible 4 KB records; a quota one record short evicts
+        # exactly the deepest one, so the rewrite must come out smaller.
+        policy = RetentionPolicy(
+            class_quotas=[ClassQuota(expression="port 80", max_bytes=49 * 4096)]
+        )
+        store = _store(tmp_path, segment_bytes=1 << 20, compress=True, retention=policy)
+        for n in range(50):
+            store.append(_record(offset=n * 4096, ts=float(n), size=4096))
+        store.flush()
+        (path,) = store.index.segments
+        before = os.path.getsize(path)
+        report = store.enforce_retention()
+        assert report.segments_compacted == 1 and report.evicted_records == 1
+        after = os.path.getsize(path)
+        assert after < before
+        assert store.index.disk_bytes == after
+        assert sum(len(s.data) for s in store.query().streams) == 49 * 4096
+        store.close(enforce_retention=False)
